@@ -18,9 +18,12 @@
 // byte-for-byte without any side channel — including the deterministic
 // --flip-after-ms evolution (workload::evolved_zone).
 
+#include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -31,7 +34,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/drop_reason.hpp"
@@ -59,6 +61,16 @@ volatile std::sig_atomic_t g_reload_requested = 0;
 /// Self-suspension requests (SIGUSR1 suspend / SIGUSR2 resume): the
 /// latest signal wins; the main loop applies the state to the server.
 volatile std::sig_atomic_t g_suspend_requested = -1;
+/// Every handler bumps this eventfd, so the main loop's poll() wakes at
+/// once instead of at its next 50 ms tick.
+int g_wake_fd = -1;
+
+void wake_main_loop() {
+  const int saved_errno = errno;
+  const std::uint64_t one = 1;
+  if (g_wake_fd >= 0) (void)!::write(g_wake_fd, &one, sizeof one);
+  errno = saved_errno;
+}
 
 void handle_stop(int) {
   // Idempotent stop with an escape hatch: the first signal starts the
@@ -68,10 +80,20 @@ void handle_stop(int) {
   // point.
   if (g_stop_requested) _exit(kExitForced);
   g_stop_requested = 1;
+  wake_main_loop();
 }
-void handle_reload(int) { g_reload_requested = 1; }
-void handle_suspend(int) { g_suspend_requested = 1; }
-void handle_resume(int) { g_suspend_requested = 0; }
+void handle_reload(int) {
+  g_reload_requested = 1;
+  wake_main_loop();
+}
+void handle_suspend(int) {
+  g_suspend_requested = 1;
+  wake_main_loop();
+}
+void handle_resume(int) {
+  g_suspend_requested = 0;
+  wake_main_loop();
+}
 
 struct HostPort {
   akadns::Ipv4Addr addr;
@@ -382,6 +404,11 @@ int main(int argc, char** argv) {
   // Handlers go in before any slow work (zone compiles, binds): a stop
   // signal received mid-startup completes startup and immediately
   // drains, instead of killing the process with state half-built.
+  g_wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (g_wake_fd < 0) {
+    std::perror("eventfd");
+    return 1;
+  }
   struct sigaction sa {};
   sa.sa_handler = handle_stop;
   ::sigaction(SIGTERM, &sa, nullptr);
@@ -554,7 +581,13 @@ int main(int argc, char** argv) {
   const auto start_time = std::chrono::steady_clock::now();
   bool flipped = false;
   while (!g_stop_requested) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    // A signal wakes the poll at once; the 50 ms timeout still paces
+    // the --flip-after-ms check.
+    pollfd wake{g_wake_fd, POLLIN, 0};
+    if (::poll(&wake, 1, 50) > 0) {
+      std::uint64_t pending = 0;
+      (void)!::read(g_wake_fd, &pending, sizeof pending);
+    }
     if (g_suspend_requested >= 0) {
       const bool suspend = g_suspend_requested == 1;
       g_suspend_requested = -1;

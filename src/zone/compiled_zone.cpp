@@ -253,7 +253,6 @@ CompiledZonePtr CompiledZone::compile_incremental(const CompiledZone& prev, Zone
 
   auto out = std::make_shared<CompiledZone>();
   out->source_ = std::move(source);
-  out->incremental_ = true;
 
   // 3. Sorted merge of the previous node table with the dirty set:
   //    untouched nodes are shared, dirty-and-existing nodes rebuilt,

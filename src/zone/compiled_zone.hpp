@@ -99,8 +99,6 @@ class CompiledZone {
   std::size_t fragment_count() const noexcept { return fragment_count_; }
   /// Host wall-clock cost of this compile in microseconds.
   std::uint64_t compile_micros() const noexcept { return compile_micros_; }
-  /// True when this snapshot was built by compile_incremental().
-  bool incremental() const noexcept { return incremental_; }
   /// Nodes shared structurally with the previous snapshot (0 for full
   /// compiles) — the quantity the incremental path exists to maximize.
   std::size_t reused_nodes() const noexcept { return reused_nodes_; }
@@ -182,7 +180,6 @@ class CompiledZone {
   std::uint32_t apex_node_ = 0;
   std::size_t fragment_count_ = 0;
   std::uint64_t compile_micros_ = 0;
-  bool incremental_ = false;
   std::size_t reused_nodes_ = 0;
 };
 

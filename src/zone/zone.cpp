@@ -81,8 +81,6 @@ void Zone::set_soa_serial(std::uint32_t serial) {
   std::get<SoaRecord>(set_it->second.records.front().rdata).serial = serial;
 }
 
-bool Zone::has_name(const DnsName& name) const { return nodes_.contains(name); }
-
 bool Zone::subtree_exists(const DnsName& name) const {
   auto it = nodes_.lower_bound(name);
   return it != nodes_.end() && (it->first == name || it->first.is_subdomain_of(name));
@@ -197,13 +195,10 @@ LookupResult Zone::lookup(const DnsName& qname, RecordType qtype) const {
 
   // 3. Empty non-terminal check: if any existing name is below qname,
   //    the name "exists" with no data (RFC 4592 §2.2.2) -> NODATA.
-  {
-    auto it = nodes_.upper_bound(qname);
-    if (it != nodes_.end() && it->first.is_subdomain_of(qname)) {
-      result.status = LookupStatus::NoData;
-      attach_negative_authority(result);
-      return result;
-    }
+  if (subtree_exists(qname)) {
+    result.status = LookupStatus::NoData;
+    attach_negative_authority(result);
+    return result;
   }
 
   // 4. Wildcard: find the closest encloser, then look for "*" child.
@@ -237,11 +232,7 @@ LookupResult Zone::lookup(const DnsName& qname, RecordType qtype) const {
     // suffix exists — as a node or as an empty non-terminal with
     // descendants — it is the closest encloser and higher wildcards are
     // blocked.
-    if (has_name(encloser)) break;
-    if (auto it = nodes_.upper_bound(encloser);
-        it != nodes_.end() && it->first.is_subdomain_of(encloser)) {
-      break;
-    }
+    if (subtree_exists(encloser)) break;
   }
 
   result.status = LookupStatus::NxDomain;

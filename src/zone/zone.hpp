@@ -76,9 +76,6 @@ class Zone {
   /// IXFR delta performs beyond record add/remove.
   void set_soa_serial(std::uint32_t serial);
 
-  /// True if any RRset exists at this exact name.
-  bool has_name(const DnsName& name) const;
-
   /// True when `name` exists in RFC 4592 terms: it owns records, or it is
   /// an empty non-terminal with records somewhere below it. One
   /// lower_bound probe — canonical order groups subtrees.

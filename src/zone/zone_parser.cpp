@@ -311,6 +311,7 @@ Result<Zone> parse_master_file(std::string_view text, const ParseOptions& option
   };
   std::vector<PendingRecord> records;
   std::optional<DnsName> apex;
+  std::uint32_t serial = 0;
 
   for (const auto& logical : tokenized.value()) {
     const int line_no = logical.line_no;
@@ -386,17 +387,12 @@ Result<Zone> parse_master_file(std::string_view text, const ParseOptions& option
       if (apex) return Result<Zone>::failure("line " + std::to_string(line_no) +
                                              ": duplicate SOA record");
       apex = owner;
+      serial = std::get<SoaRecord>(rr.rdata).serial;
     }
     records.push_back(PendingRecord{std::move(rr), line_no});
   }
 
   if (!apex) return Result<Zone>::failure("zone file has no SOA record");
-  std::uint32_t serial = options.fallback_serial;
-  for (const auto& pending : records) {
-    if (pending.rr.type() == dns::RecordType::SOA) {
-      serial = std::get<SoaRecord>(pending.rr.rdata).serial;
-    }
-  }
 
   Zone zone(*apex, serial);
   for (auto& pending : records) {

@@ -19,8 +19,6 @@ struct ParseOptions {
   DnsName origin;
   /// Default TTL when neither the record nor $TTL specify one.
   std::uint32_t default_ttl = 3600;
-  /// Serial to assign if the SOA cannot provide one (diagnostic use).
-  std::uint32_t fallback_serial = 1;
 };
 
 /// Parses a master file into a Zone rooted at the SOA owner name.

@@ -17,9 +17,8 @@
 // path, which is what a REFUSED flood exercises.
 #pragma once
 
-#include <bitset>
+#include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -102,8 +101,8 @@ class ZoneStore {
   bool remove(const DnsName& apex);
 
   /// The compiled zone whose apex is the longest suffix of `qname`, or
-  /// nullptr. Allocation-free: probes a hashed apex index at each
-  /// populated depth instead of materializing suffix names.
+  /// nullptr. Allocation-free: one probe sequence of the hashed apex
+  /// index per populated depth instead of materializing suffix names.
   CompiledZonePtr find_best_compiled(const DnsName& qname) const noexcept;
 
   /// The zone whose apex is the longest suffix of `qname`, or nullptr.
@@ -115,12 +114,12 @@ class ZoneStore {
   /// Exact-apex fetch of the compiled snapshot.
   CompiledZonePtr find_compiled(const DnsName& apex) const;
 
-  bool has_zone(const DnsName& apex) const { return zones_.contains(apex); }
+  bool has_zone(const DnsName& apex) const { return find_entry(apex) != nullptr; }
 
-  std::size_t zone_count() const noexcept { return zones_.size(); }
+  std::size_t zone_count() const noexcept { return zone_count_; }
   std::size_t total_records() const noexcept;
 
-  /// Apexes of all hosted zones (stable canonical order).
+  /// Apexes of all hosted zones, sorted into canonical order per call.
   std::vector<DnsName> zone_apexes() const;
 
   /// Monotone counter incremented on every successful publish/remove;
@@ -131,26 +130,35 @@ class ZoneStore {
   const CompileStats& compile_stats() const noexcept { return compile_stats_; }
 
  private:
-  /// One apex in the hash index. `entry` points at the map node (stable
-  /// across rebuilds of the vector; map nodes never move).
-  struct ApexIndexEntry {
+  using Entry = std::pair<const DnsName, CompiledZonePtr>;
+  /// One index slot (null `entry` = empty). The apex depth is checked on
+  /// the key, and only on a full hash match.
+  struct ApexSlot {
     std::uint64_t hash = 0;
-    std::uint16_t depth = 0;
-    const std::pair<const DnsName, CompiledZonePtr>* entry = nullptr;
+    std::unique_ptr<Entry> entry;
   };
 
   void store(ZonePtr zone);
   void install(CompiledZonePtr compiled);
   void note_compile(const CompiledZone& compiled);
-  void rebuild_index();
+  std::size_t home_slot(std::uint64_t hash) const noexcept;
+  void place(ApexSlot slot) noexcept;
+  Entry& index_insert(const DnsName& apex);
+  void index_erase(const Entry& entry);
+  /// The indexed entry whose apex is the trailing `depth` labels of
+  /// `name` (suffix hash `hash`), or nullptr.
+  Entry* probe(std::uint64_t hash, std::size_t depth, const DnsName& name) const noexcept;
+  Entry* find_entry(const DnsName& apex) const noexcept {
+    return probe(apex.suffix_hash(), apex.label_count(), apex);
+  }
 
-  std::map<DnsName, CompiledZonePtr> zones_;
-  /// Sorted by hash; rebuilt on publish/remove (rare) so lookups (hot)
-  /// are a binary search.
-  std::vector<ApexIndexEntry> apex_index_;
-  /// Which apex depths exist at all — lets the miss path skip depths
-  /// without touching the index.
-  std::bitset<128> apex_depths_;
+  /// The hosted zones, one slot per apex: a linear-probing table over apex
+  /// suffix hashes, power-of-two sized, at most half full, backward-shift erase.
+  std::vector<ApexSlot> apex_index_;
+  std::size_t zone_count_ = 0;
+  /// Apexes per label depth — lets the miss path skip depths without
+  /// touching the index, and stays exact when a depth empties.
+  std::array<std::uint32_t, 128> apex_depths_{};
   std::uint64_t generation_ = 0;
   CompileStats compile_stats_;
 };

@@ -4,6 +4,8 @@
 // layer where the subject is a process, not a class.
 
 #include <signal.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -12,8 +14,10 @@
 #include <thread>
 #include <vector>
 
+#include "dns/wire.hpp"
 #include "fleet/machine_process.hpp"
 #include "fleet/supervisor.hpp"
+#include "net/socket.hpp"
 
 #ifndef AKADNS_SERVE_BIN
 #error "AKADNS_SERVE_BIN must point at the akadns-serve binary"
@@ -53,22 +57,56 @@ TEST(MachineProcess, HandshakeReportsEphemeralPortsAndExitsClean) {
   EXPECT_EQ(machine.term_signal(), 0);
 }
 
+// Holds a daemon's drain open: a TCP client that pipelines queries and
+// never reads leaves more response bytes owed (~9 MB of REFUSED answers)
+// than the loopback buffers absorb (the server's send buffer tops out at
+// tcp_wmem's 4 MiB), so the drain waits for its 5 s deadline. Returns
+// the client socket; closing it releases the drain.
+int stall_drain(std::uint16_t tcp_port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  const int rcvbuf = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
+  sockaddr_storage dst{};
+  const socklen_t len =
+      net::sockaddr_from_endpoint(Endpoint{IpAddr(Ipv4Addr(127, 0, 0, 1)), tcp_port}, dst);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&dst), len), 0);
+  const std::string label(60, 'x');  // a ~250-byte qname: ~270-byte answers
+  const auto wire = dns::encode(dns::make_query(
+      1, dns::DnsName::from(label + "." + label + "." + label + "." + label + ".invalid"),
+      dns::RecordType::A));
+  std::vector<std::uint8_t> frames;
+  for (int i = 0; i < 32768; ++i) {
+    frames.push_back(static_cast<std::uint8_t>(wire.size() >> 8));
+    frames.push_back(static_cast<std::uint8_t>(wire.size() & 0xff));
+    frames.insert(frames.end(), wire.begin(), wire.end());
+  }
+  for (std::size_t off = 0; off < frames.size();) {
+    const ssize_t n = ::send(fd, frames.data() + off, frames.size() - off, MSG_NOSIGNAL);
+    if (n <= 0) break;
+    off += static_cast<std::size_t>(n);
+  }
+  return fd;
+}
+
 TEST(MachineProcess, SecondSigtermForcesImmediateExitCode3) {
   MachineProcess machine(tiny_serve("m0"));
   auto spawned = machine.spawn();
   ASSERT_TRUE(spawned) << spawned.error();
   ASSERT_TRUE(machine.wait_ready(15000));
+  const int client = stall_drain(machine.ready()->tcp_port);
 
   // Idempotent-but-escalating: the first SIGTERM begins the drain, an
   // impatient second one must not be swallowed — it forces _exit(3).
-  // The gap ensures the first is actually delivered (undelivered
-  // standard signals coalesce); the daemon's stop flag is only polled
-  // every 50ms, so the second lands well before the drain starts.
+  // The daemon wakes on the first signal at once; the unread TCP answers
+  // keep its drain running, so the second lands mid-drain (and after the
+  // first was delivered: undelivered standard signals coalesce).
   EXPECT_TRUE(machine.send_signal(SIGTERM));
-  std::this_thread::sleep_for(std::chrono::milliseconds(15));
+  EXPECT_FALSE(machine.wait_exit(200)) << "drain finished before the second SIGTERM";
   EXPECT_TRUE(machine.send_signal(SIGTERM));
   ASSERT_TRUE(machine.wait_exit(10000));
   EXPECT_EQ(machine.exit_code(), 3);
+  ::close(client);
 }
 
 TEST(MachineProcess, SigkillIsReportedAsSignalDeath) {
